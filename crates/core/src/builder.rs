@@ -584,6 +584,12 @@ pub enum BuildError {
         /// The offending value.
         value: f64,
     },
+    /// [`Technique::Dsm`] at a level the database state machine does not
+    /// implement (1-safe is the lazy baseline, [`Technique::Lazy`]).
+    NoDsmLevel {
+        /// The requested level.
+        level: SafetyLevel,
+    },
     /// The shard configuration does not partition the key space.
     Shard(ShardError),
     /// Cross-group transactions need the database state machine (the
@@ -610,12 +616,13 @@ pub enum BuildError {
         /// The technique's label.
         technique: &'static str,
     },
-    /// A CI environment profile (`GROUPSAFE_READS`, `GROUPSAFE_BATCHING`)
-    /// carries a malformed value. A typo must fail the build loudly —
-    /// silently falling back to the default profile would make a
-    /// "profile on" CI pass vacuous.
+    /// A CI environment profile (`GROUPSAFE_READS`, `GROUPSAFE_BATCHING`,
+    /// `GROUPSAFE_SHARDS`, ...) carries a malformed value. A typo must
+    /// fail the build loudly — silently falling back to the default
+    /// profile would make a "profile on" CI pass vacuous.
     BadEnvProfile {
-        /// The offending environment variable.
+        /// The offending profile's environment variable
+        /// (`GROUPSAFE_SHARDS` also covers `GROUPSAFE_CROSS_SHARD`).
         var: &'static str,
         /// What is wrong with its value.
         detail: String,
@@ -646,6 +653,10 @@ impl std::fmt::Display for BuildError {
             BuildError::BadScenario { what, value } => {
                 write!(f, "invalid scenario: {what} (got {value})")
             }
+            BuildError::NoDsmLevel { level } => write!(
+                f,
+                "the database state machine does not implement {level} (use Technique::Lazy)"
+            ),
             BuildError::Shard(e) => write!(f, "invalid shard configuration: {e}"),
             BuildError::UnsupportedCrossShard { technique } => {
                 write!(
@@ -783,12 +794,13 @@ impl SystemBuilder {
     }
 
     /// Choose the replication technique by its client-visible safety
-    /// level: [`SafetyLevel::OneSafe`] selects the lazy baseline, every
-    /// other level the database state machine at that level.
+    /// level: the database state machine at that level where it has one
+    /// ([`SafetyLevel::is_dsm`]), else (1-safe) the lazy baseline.
     pub fn safety(mut self, level: SafetyLevel) -> Self {
-        self.replica.technique = match level {
-            SafetyLevel::OneSafe => Technique::Lazy,
-            other => Technique::Dsm(other),
+        self.replica.technique = if level.is_dsm() {
+            Technique::Dsm(level)
+        } else {
+            Technique::Lazy
         };
         self
     }
@@ -1056,12 +1068,20 @@ impl SystemBuilder {
 
     /// The shard configuration in force: an explicit setter call, else
     /// the `GROUPSAFE_SHARDS` env profile, else the single-group default.
-    fn effective_shard(&self) -> ShardSpec {
-        if self.shard_explicit {
-            self.shard.clone()
-        } else {
-            ShardSpec::from_env().unwrap_or_else(|| self.shard.clone())
-        }
+    ///
+    /// # Errors
+    /// [`BuildError::BadEnvProfile`] if the profile is set but malformed
+    /// — even under an explicit setter, so a CI run with a typo in its
+    /// profile fails instead of passing on the explicitly sharded tests.
+    fn effective_shard(&self) -> Result<ShardSpec, BuildError> {
+        let env = ShardSpec::from_env().map_err(|detail| BuildError::BadEnvProfile {
+            var: "GROUPSAFE_SHARDS",
+            detail,
+        })?;
+        Ok(match env {
+            Some(spec) if !self.shard_explicit => spec,
+            _ => self.shard.clone(),
+        })
     }
 
     /// The observability configuration in force: an explicit
@@ -1089,14 +1109,12 @@ impl SystemBuilder {
     /// reads need an endpoint that tracks group stability (0-safe's
     /// non-uniform delivery casts no stability votes).
     fn reads_supported(technique: Technique, path: ReadPath) -> bool {
-        !matches!(
-            (technique, path),
-            (Technique::Lazy, ReadPath::Broadcast | ReadPath::Local(_))
-                | (
-                    Technique::Dsm(SafetyLevel::ZeroSafe),
-                    ReadPath::Local(ReadLevel::Stable)
-                )
-        )
+        let level = technique.safety_level();
+        match path {
+            ReadPath::Classic => true,
+            ReadPath::Local(ReadLevel::Stable) => level.tracks_stability(),
+            ReadPath::Broadcast | ReadPath::Local(_) => level.is_dsm(),
+        }
     }
 
     /// The read configuration in force: an explicit setter call, else
@@ -1164,6 +1182,11 @@ impl SystemBuilder {
         if self.clients_per_server == 0 {
             return Err(BuildError::NoClients);
         }
+        if let Technique::Dsm(level) = self.replica.technique {
+            if !level.is_dsm() {
+                return Err(BuildError::NoDsmLevel { level });
+            }
+        }
         if self.generator.is_none() {
             self.effective_workload()?.validate()?;
         }
@@ -1177,22 +1200,20 @@ impl SystemBuilder {
                 technique: self.replica.technique.label(),
             });
         }
-        let shard = self.effective_shard();
+        let shard = self.effective_shard()?;
         if !(0.0..=1.0).contains(&shard.cross_fraction) || shard.cross_fraction.is_nan() {
             return Err(BuildError::BadProbability {
                 name: "cross_shard_fraction",
                 value: shard.cross_fraction,
             });
         }
-        if shard.cross_fraction > 0.0 && shard.groups > 1 {
-            match self.replica.technique {
-                Technique::Dsm(SafetyLevel::VerySafe) | Technique::Lazy => {
-                    return Err(BuildError::UnsupportedCrossShard {
-                        technique: self.replica.technique.label(),
-                    });
-                }
-                Technique::Dsm(_) => {}
-            }
+        if shard.cross_fraction > 0.0
+            && shard.groups > 1
+            && !self.replica.technique.safety_level().spans_groups()
+        {
+            return Err(BuildError::UnsupportedCrossShard {
+                technique: self.replica.technique.label(),
+            });
         }
         let n_items = if self.generator.is_none() {
             self.workload.n_items
@@ -1256,7 +1277,7 @@ impl SystemBuilder {
                 })?
                 .unwrap_or(self.replica.batch),
         };
-        let shard = self.effective_shard();
+        let shard = self.effective_shard()?;
         Ok(SystemConfig {
             n_servers: self.n_servers,
             clients_per_server: self.clients_per_server,
@@ -1451,10 +1472,10 @@ impl Run {
     /// Convenience hook: switch every server's safety level at `at`
     /// (group-safe ↔ group-1-safe, §5.2).
     pub fn switch_safety_at(self, at: SimTime, level: SafetyLevel) -> Self {
-        let label = match level {
-            SafetyLevel::GroupOneSafe => "group-1-safe",
-            SafetyLevel::GroupSafe => "group-safe",
-            _ => "switched",
+        let label = if level.switchable() {
+            level.label()
+        } else {
+            "switched"
         };
         self.at(at, label, move |system| {
             let now = system.engine.now();
@@ -2403,6 +2424,18 @@ mod tests {
         assert_eq!(b.replica.technique, Technique::Lazy);
         let b = System::builder().safety(SafetyLevel::TwoSafe);
         assert_eq!(b.replica.technique, Technique::Dsm(SafetyLevel::TwoSafe));
+    }
+
+    #[test]
+    fn dsm_without_a_broadcast_primitive_is_a_typed_error() {
+        for level in SafetyLevel::ALL {
+            let built = System::builder()
+                .servers(3)
+                .technique(Technique::Dsm(level))
+                .build();
+            let expected = (!level.is_dsm()).then_some(BuildError::NoDsmLevel { level });
+            assert_eq!(built.err(), expected, "{level}");
+        }
     }
 
     #[test]

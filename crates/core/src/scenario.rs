@@ -70,7 +70,7 @@ use groupsafe_net::{NetConfig, NodeId};
 use groupsafe_sim::{SimDuration, SimTime};
 
 use crate::builder::{BuildError, Run};
-use crate::safety::SafetyLevel;
+use crate::safety::{LossRule, SafetyLevel};
 use crate::server::{InstallCheckpointCmd, ReplicaServer, RestartServerCmd, SwitchSafetyCmd};
 use crate::system::System;
 
@@ -1312,9 +1312,10 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
             .all(|&g| group_failed_of.get(g as usize).copied().unwrap_or(false));
         let delegate_crashed = system.server(delegate.0).crash_count() > 0;
         let delegate_dead = !system.engine.is_alive(system.servers[delegate.index()]);
-        let allowed = match level {
+        let rule = level.loss_rule();
+        let allowed = match rule {
             // Table 3: 0-safe may lose under any delivery fault.
-            SafetyLevel::ZeroSafe => plan.any_delivery_fault(),
+            LossRule::AnyFault => plan.any_delivery_fault(),
             // 1-safe loses exactly in delegate-crash windows: the
             // transaction must have been acknowledged at or before some
             // crash of its delegate (the un-propagated window). A crash
@@ -1322,7 +1323,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
             // Runtime-targeted sequencer kills cannot be attributed
             // statically, so their presence falls back to the coarse
             // delegate-crashed check.
-            SafetyLevel::OneSafe => {
+            LossRule::DelegateCrash => {
                 delegate_crashed
                     && (plan.has_kill_sequencer() || {
                         let ack_at = system.oracle.borrow().acked.get(&lt.txn).map(|a| a.at);
@@ -1333,34 +1334,21 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
                         })
                     })
             }
-            // Group-safe loses only if the whole owning group failed
-            // (every touched group, for a cross-group commit).
-            SafetyLevel::GroupSafe => owners_failed,
-            // Group-1-safe additionally requires the delegate's log to
-            // never return.
-            SafetyLevel::GroupOneSafe => owners_failed && delegate_dead,
-            // 2-safe and very-safe never lose.
-            SafetyLevel::TwoSafe | SafetyLevel::VerySafe => false,
+            // Otherwise Table 3 applies as is: group-safe loses only if the
+            // whole owning group failed (every touched group, for a
+            // cross-group commit), group-1-safe additionally requires the
+            // delegate's log to never return, 2-safe and very-safe never
+            // lose.
+            LossRule::GroupFailure | LossRule::GroupFailureAndDelegateLog | LossRule::Never => {
+                rule.can_lose(owners_failed, delegate_dead)
+            }
         };
         if !allowed {
-            let reason = match level {
-                SafetyLevel::ZeroSafe => "the plan injected no delivery fault",
-                SafetyLevel::OneSafe => "no delegate-crash window covers it",
-                SafetyLevel::GroupSafe => "a majority of its group survived the whole run",
-                SafetyLevel::GroupOneSafe => {
-                    if owners_failed {
-                        "the delegate's log returned"
-                    } else {
-                        "a majority of its group survived the whole run"
-                    }
-                }
-                SafetyLevel::TwoSafe | SafetyLevel::VerySafe => "this level never loses",
-            };
             violations.push(OracleViolation::UnexpectedLoss {
                 level,
                 txn: lt.txn,
                 delegate,
-                reason,
+                reason: rule.unexcused(owners_failed),
             });
         }
     }
@@ -1393,13 +1381,13 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
                     .copied()
                     .unwrap_or(false);
                 let allowed = !any_live // group unavailable, not provably lost
-                    || match level {
-                        SafetyLevel::ZeroSafe => plan.any_delivery_fault(),
-                        SafetyLevel::OneSafe => true, // lazy never runs the protocol
-                        SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe => {
+                    || match level.loss_rule() {
+                        LossRule::AnyFault => plan.any_delivery_fault(),
+                        LossRule::DelegateCrash => true, // lazy never runs the protocol
+                        LossRule::GroupFailure | LossRule::GroupFailureAndDelegateLog => {
                             g_failed || coord_failed
                         }
-                        SafetyLevel::TwoSafe | SafetyLevel::VerySafe => false,
+                        LossRule::Never => false,
                     };
                 if !allowed {
                     violations.push(OracleViolation::AtomicityViolation {
@@ -1419,10 +1407,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
     // remote writes unlogged, so any crash voids its convergence claim.
     // In a sharded system each group is judged on its own: a repaired or
     // untouched group is audited even while another is still down.
-    let view_based = matches!(
-        level,
-        SafetyLevel::ZeroSafe | SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe
-    );
+    let view_based = level.view_based();
     let base_quiet = plan.fully_healed()
         && !plan.uses_loss()
         && system.engine.now() >= plan.last_disturbance() + SETTLE
@@ -1431,8 +1416,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
         // legitimately diverges during a partition, and the lazy
         // baseline's fire-and-forget propagation has no retransmission,
         // so writes dropped by any fault stay missing.
-        && (!matches!(level, SafetyLevel::ZeroSafe | SafetyLevel::OneSafe)
-            || !plan.any_delivery_fault());
+        && (!level.is_weak() || !plan.any_delivery_fault());
 
     let mut quiescent_groups = 0u32;
     for g in 0..n_groups {
@@ -1523,8 +1507,7 @@ pub fn audit_scenario(plan: &ScenarioPlan, system: &System, level: SafetyLevel) 
     // from a survivor's log can reuse a lost suffix's sequence numbers)
     // and the weak levels under delivery faults (0-safe minority views
     // deliver divergent sequences by design).
-    let si_trustworthy = !matches!(level, SafetyLevel::ZeroSafe | SafetyLevel::OneSafe)
-        || !plan.any_delivery_fault();
+    let si_trustworthy = !level.is_weak() || !plan.any_delivery_fault();
     let si_audited = {
         let oracle = system.oracle.borrow();
         let mut audited = 0usize;
@@ -1683,10 +1666,7 @@ pub mod fuzz {
             // across groups (the builder rejects the combination), so
             // their sharded envelopes run independent groups without
             // cross traffic.
-            let cross_fraction = match level {
-                SafetyLevel::OneSafe | SafetyLevel::VerySafe => 0.0,
-                _ => 0.1,
-            };
+            let cross_fraction = if level.spans_groups() { 0.1 } else { 0.0 };
             FuzzSpec {
                 level,
                 n_servers: 3,
@@ -1713,7 +1693,10 @@ pub mod fuzz {
         /// combination falls back to session reads.
         pub fn with_reads(mut self, level: crate::reads::ReadLevel, fraction: f64) -> FuzzSpec {
             use crate::reads::ReadLevel;
-            let level = if self.level == SafetyLevel::ZeroSafe && level == ReadLevel::Stable {
+            let level = if level == ReadLevel::Stable
+                && self.level.is_dsm()
+                && !self.level.tracks_stability()
+            {
                 ReadLevel::Session
             } else {
                 level
@@ -1731,10 +1714,10 @@ pub mod fuzz {
         /// (1-safe) executes them through its classic 2PL path, so the
         /// fraction is zeroed there.
         pub fn with_txns(mut self, fraction: f64) -> FuzzSpec {
-            self.txn_fraction = if self.level == SafetyLevel::OneSafe {
-                0.0
-            } else {
+            self.txn_fraction = if self.level.is_dsm() {
                 fraction.clamp(0.0, 1.0)
+            } else {
+                0.0
             };
             self
         }
@@ -1807,10 +1790,7 @@ pub mod fuzz {
         }
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let n = spec.n_servers;
-        let view_based = matches!(
-            spec.level,
-            SafetyLevel::ZeroSafe | SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe
-        );
+        let view_based = spec.level.view_based();
         // Faults land in [500 ms, measure/2 + 500 ms]; every event is
         // over at most ~1.5 s later, leaving the rest of the window plus
         // the drain to quiesce (the oracle's settle margin is 2 s).
@@ -1940,10 +1920,7 @@ pub mod fuzz {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5A5A);
         let spg = spec.n_servers;
         let n_groups = spec.shards;
-        let view_based = matches!(
-            spec.level,
-            SafetyLevel::ZeroSafe | SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe
-        );
+        let view_based = spec.level.view_based();
         let window_start = 500u64;
         let window_end = (window_start + spec.measure.as_nanos() / 2_000_000).max(window_start + 1);
         let at_ms =
@@ -2087,7 +2064,7 @@ pub mod fuzz {
             // The lazy baseline has no local read path (the builder
             // rejects it); its read-mixed envelope still carries the
             // read-only fraction through the classic pipeline.
-            if spec.level != SafetyLevel::OneSafe {
+            if spec.level.is_dsm() {
                 builder = builder.read_level(level);
             }
             builder = builder.read_fraction(spec.read_fraction);

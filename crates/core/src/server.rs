@@ -58,8 +58,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use groupsafe_db::{
-    DbCheckpoint, DbConfig, DbEngine, FlushPolicy, ItemId, LockMode, LockOutcome, Lsn, Operation,
-    TxnId, Value, Version, WriteOp,
+    CommitResult, DbCheckpoint, DbConfig, DbEngine, FlushPolicy, ItemId, LockMode, LockOutcome,
+    Lsn, Operation, TxnId, Value, Version, WriteOp,
 };
 use groupsafe_gcs::{BatchConfig, GcsConfig, GcsEndpoint, GcsOutput, GcsTimer, Wire};
 use groupsafe_net::{Incoming, Network, NodeId, NET_CPU};
@@ -72,15 +72,15 @@ use crate::msg::{
 };
 use crate::obs_txn;
 use crate::reads::{ReadConfig, ReadLevel, ReadPath, ReadReply, ReadRequest};
-use crate::safety::SafetyLevel;
+use crate::safety::{ReplyPoint, SafetyLevel};
 use crate::shard::ShardMap;
 use crate::verify::{Oracle, ReadRecord, SiRecord};
 
 /// Which replication technique a server runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Technique {
-    /// Database state machine at the given safety level
-    /// (`ZeroSafe`, `GroupSafe`, `GroupOneSafe` or `TwoSafe`).
+    /// Database state machine at the given safety level (any level with
+    /// a broadcast primitive, [`SafetyLevel::is_dsm`]).
     Dsm(SafetyLevel),
     /// Lazy (1-safe) replication.
     Lazy,
@@ -98,30 +98,12 @@ impl Technique {
     /// The group communication configuration this technique requires
     /// (`None` for lazy replication, which uses plain messages).
     pub fn gcs_config(self) -> Option<GcsConfig> {
-        match self {
-            Technique::Dsm(SafetyLevel::ZeroSafe) => Some(GcsConfig::view_based_non_uniform()),
-            Technique::Dsm(SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe) => {
-                Some(GcsConfig::view_based_uniform())
-            }
-            Technique::Dsm(SafetyLevel::TwoSafe | SafetyLevel::VerySafe) => {
-                Some(GcsConfig::end_to_end())
-            }
-            Technique::Dsm(l) => panic!("no DSM variant implements {l}"),
-            Technique::Lazy => None,
-        }
+        self.safety_level().gcs_config()
     }
 
     /// Short label for reports.
     pub fn label(self) -> &'static str {
-        match self {
-            Technique::Dsm(SafetyLevel::ZeroSafe) => "0-safe (dsm)",
-            Technique::Dsm(SafetyLevel::GroupSafe) => "group-safe",
-            Technique::Dsm(SafetyLevel::GroupOneSafe) => "group-1-safe",
-            Technique::Dsm(SafetyLevel::TwoSafe) => "2-safe (e2e)",
-            Technique::Dsm(SafetyLevel::VerySafe) => "very-safe",
-            Technique::Dsm(_) => "dsm",
-            Technique::Lazy => "lazy (1-safe)",
-        }
+        self.safety_level().label()
     }
 }
 
@@ -340,19 +322,26 @@ struct XgCoord {
     votes: std::collections::BTreeMap<u32, bool>,
 }
 
+/// What only a database state machine server has: its group
+/// communication endpoint and the safety level in force. A lazy server
+/// has neither, so no delivery can reach it.
+struct Dsm {
+    /// Starts as the configured level; may be switched at runtime
+    /// between group-safe and group-1-safe (§5.2).
+    level: SafetyLevel,
+    gcs: GcsEndpoint<Rc<GroupMsg>, DbCheckpoint>,
+}
+
 /// The replicated database server actor.
 pub struct ReplicaServer {
     node: NodeId,
     cfg: ReplicaConfig,
-    /// The technique currently in force (starts as `cfg.technique`; the
-    /// safety level may be switched at runtime between group-safe and
-    /// group-1-safe, §5.2).
-    technique: Technique,
     net: Network,
     cpu: Rc<RefCell<Fcfs>>,
     log_disk: Rc<RefCell<Disk>>,
     data_disk: Rc<RefCell<Disk>>,
-    gcs: Option<GcsEndpoint<Rc<GroupMsg>, DbCheckpoint>>,
+    /// `None` under [`Technique::Lazy`].
+    dsm: Option<Dsm>,
     db: DbEngine,
     oracle: Rc<RefCell<Oracle>>,
     /// Members of this server's replica group (its abcast spans exactly
@@ -487,15 +476,16 @@ impl ReplicaServer {
         let group_id = node.0 / n_servers.max(1);
         let group_base = group_id * n_servers;
         let group: Vec<NodeId> = (group_base..group_base + n_servers).map(NodeId).collect();
-        let gcs = cfg.technique.gcs_config().map(|gcfg| {
-            GcsEndpoint::new(
+        let dsm = cfg.technique.gcs_config().map(|gcfg| Dsm {
+            level: cfg.technique.safety_level(),
+            gcs: GcsEndpoint::new(
                 gcfg.with_batching(cfg.batch),
                 node,
                 group,
                 net.clone(),
                 Some(log_disk.clone()),
                 StdRng::seed_from_u64(rng.random()),
-            )
+            ),
         });
         let db = DbEngine::new(
             cfg.db.clone(),
@@ -506,13 +496,12 @@ impl ReplicaServer {
         );
         ReplicaServer {
             node,
-            technique: cfg.technique,
             cfg,
             net,
             cpu,
             log_disk,
             data_disk,
-            gcs,
+            dsm,
             db,
             oracle,
             n_servers,
@@ -561,7 +550,7 @@ impl ReplicaServer {
 
     /// The group communication endpoint, if the technique uses one.
     pub fn gcs(&self) -> Option<&GcsEndpoint<Rc<GroupMsg>, DbCheckpoint>> {
-        self.gcs.as_ref()
+        self.dsm.as_ref().map(|d| &d.gcs)
     }
 
     /// This server's replica group.
@@ -588,7 +577,9 @@ impl ReplicaServer {
 
     /// The technique currently in force.
     pub fn technique(&self) -> Technique {
-        self.technique
+        self.dsm
+            .as_ref()
+            .map_or(Technique::Lazy, |d| Technique::Dsm(d.level))
     }
 
     /// Crashes this server suffered during the run (audit metadata).
@@ -671,58 +662,54 @@ impl ReplicaServer {
         }
     }
 
-    fn mix_order(&mut self, seq: u64, txn: TxnId, committed: bool) {
-        for v in [
-            seq,
-            txn.client as u64,
-            txn.seq,
-            if committed { 0xC0 } else { 0xAB },
-        ] {
-            self.order_digest ^= v;
-            self.order_digest = self.order_digest.wrapping_mul(FNV_PRIME);
+    /// Fold a delivery decision into an FNV-1a digest (`extra` appended
+    /// when given).
+    fn fnv_mix(digest: &mut u64, seq: u64, txn: TxnId, committed: bool, extra: Option<u64>) {
+        let verdict = if committed { 0xC0 } else { 0xAB };
+        for v in [seq, txn.client as u64, txn.seq, verdict]
+            .into_iter()
+            .chain(extra)
+        {
+            *digest ^= v;
+            *digest = digest.wrapping_mul(FNV_PRIME);
         }
+    }
+
+    fn mix_order(&mut self, seq: u64, txn: TxnId, committed: bool) {
+        Self::fnv_mix(&mut self.order_digest, seq, txn, committed, None);
     }
 
     fn mix_cert(&mut self, seq: u64, txn: TxnId, committed: bool, snapshot: Option<u64>) {
-        for v in [
-            seq,
-            txn.client as u64,
-            txn.seq,
-            if committed { 0xC0 } else { 0xAB },
-            snapshot.unwrap_or(u64::MAX),
-        ] {
-            self.cert_digest ^= v;
-            self.cert_digest = self.cert_digest.wrapping_mul(FNV_PRIME);
-        }
+        let snapshot = snapshot.unwrap_or(u64::MAX);
+        Self::fnv_mix(&mut self.cert_digest, seq, txn, committed, Some(snapshot));
     }
 
     fn init(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(gcs) = &mut self.gcs {
-            gcs.start(ctx);
+        if let Some(dsm) = &mut self.dsm {
+            dsm.gcs.start(ctx);
         }
         ctx.timer(self.cfg.wal_flush_interval, ServerTimer::WalFlushTick);
         ctx.timer(self.cfg.page_flush_interval, ServerTimer::PageFlushTick);
-        if self.technique == Technique::Lazy {
+        if self.dsm.is_none() {
             ctx.timer(self.cfg.lazy_prop_interval, ServerTimer::LazyPropTick);
         }
     }
 
-    /// Switch between group-safe and group-1-safe (§5.2). Only these two
-    /// levels share a group communication configuration, so only they can
-    /// be swapped live.
+    /// Switch between group-safe and group-1-safe (§5.2). Only the
+    /// [`SafetyLevel::switchable`] levels share a group communication
+    /// configuration, so only they can be swapped live.
     fn switch_safety(&mut self, ctx: &mut Ctx<'_>, level: SafetyLevel) {
         assert!(
-            matches!(level, SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe),
+            level.switchable(),
             "runtime switching is defined between group-safe and group-1-safe"
         );
         assert!(
-            matches!(
-                self.technique,
-                Technique::Dsm(SafetyLevel::GroupSafe | SafetyLevel::GroupOneSafe)
-            ),
+            self.technique().safety_level().switchable(),
             "the server must already run one of the switchable levels"
         );
-        self.technique = Technique::Dsm(level);
+        if let Some(dsm) = &mut self.dsm {
+            dsm.level = level;
+        }
         ctx.metrics().incr("safety_switches");
     }
 
@@ -743,6 +730,16 @@ impl ReplicaServer {
         out
     }
 
+    /// A delivered write set, versioned by its delivery sequence number.
+    fn versioned(writes: &[(ItemId, Value)], seq: u64) -> Vec<WriteOp> {
+        let op = |&(item, value): &(ItemId, Value)| WriteOp {
+            item,
+            value,
+            version: seq,
+        };
+        writes.iter().map(op).collect()
+    }
+
     /// Charge one network operation's CPU cost starting at `from`.
     fn charge_net_cpu(&mut self, from: SimTime) -> SimTime {
         self.cpu.borrow_mut().request(from, NET_CPU)
@@ -751,6 +748,45 @@ impl ReplicaServer {
     fn reply_at(&mut self, ctx: &mut Ctx<'_>, at: SimTime, client: NodeId, reply: ServerReply) {
         let delay = at - ctx.now();
         ctx.timer(delay, ServerTimer::Reply { client, reply });
+    }
+
+    /// Answer `client` at `at` that `txn` committed (at delivery
+    /// `commit_seq`; 0 for commits that were never broadcast).
+    fn reply_committed(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        at: SimTime,
+        client: NodeId,
+        txn: TxnId,
+        attempt: u32,
+        commit_seq: u64,
+    ) {
+        let reply = ServerReply::Committed {
+            txn,
+            attempt,
+            commit_seq,
+        };
+        self.reply_at(ctx, at, client, reply);
+    }
+
+    /// Answer `client` at `at` that `txn` aborted.
+    fn reply_aborted(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        at: SimTime,
+        client: NodeId,
+        txn: TxnId,
+        attempt: u32,
+    ) {
+        self.reply_at(ctx, at, client, ServerReply::Aborted { txn, attempt });
+    }
+
+    /// Atomically broadcast `msg` in this server's group. Only the DSM
+    /// paths broadcast; a lazy server has no group communication.
+    fn broadcast(&mut self, ctx: &mut Ctx<'_>, msg: GroupMsg) {
+        if let Some(dsm) = &mut self.dsm {
+            dsm.gcs.broadcast(ctx, Rc::new(msg));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -764,7 +800,7 @@ impl ReplicaServer {
         // cross-group path; everything else (single-group, lazy) follows
         // the classic pipeline. (A snapshot flag on a cross-group
         // transaction is ignored: its slices certify classically.)
-        if matches!(self.technique, Technique::Dsm(_)) && self.shard.n_groups() > 1 {
+        if self.dsm.is_some() && self.shard.n_groups() > 1 {
             let groups = self.shard.groups_of(&req.ops);
             if groups.len() > 1 {
                 self.start_xg(ctx, req, groups, start);
@@ -776,10 +812,7 @@ impl ReplicaServer {
         // session's own prior commits. Past the bound it executes at the
         // snapshot the replica has — snapshot isolation is correct at any
         // snapshot; only read-your-writes freshness is best-effort.
-        if matches!(self.technique, Technique::Dsm(_))
-            && req.snapshot
-            && self.state_seq() < req.token
-        {
+        if self.dsm.is_some() && req.snapshot && self.state_seq() < req.token {
             ctx.metrics().incr("txn_parked");
             let attempt = req.attempt;
             let txn = req.id;
@@ -797,12 +830,9 @@ impl ReplicaServer {
     /// snapshot (snapshot-isolation requests under DSM) and run the
     /// technique's read phase.
     fn start_local_exec(&mut self, ctx: &mut Ctx<'_>, req: TxnRequest, start: SimTime) {
-        let snapshot = match self.technique {
-            Technique::Dsm(_) if req.snapshot => Some(self.state_seq()),
-            // The lazy baseline has no snapshot store: the flag degrades
-            // to classic 2PL execution.
-            Technique::Dsm(_) | Technique::Lazy => None,
-        };
+        // The lazy baseline has no snapshot store: the flag degrades to
+        // classic 2PL execution.
+        let snapshot = (self.dsm.is_some() && req.snapshot).then(|| self.state_seq());
         let exec = Exec {
             req,
             kind: ExecKind::Local,
@@ -816,9 +846,10 @@ impl ReplicaServer {
         let id = exec.req.id;
         self.execs.insert(id, exec);
         ctx.emit(|| ObsEvent::ExecStart { txn: obs_txn(id) });
-        match self.technique {
-            Technique::Dsm(_) => self.run_dsm_read_phase(ctx, id),
-            Technique::Lazy => self.continue_lazy(ctx, id),
+        if self.dsm.is_some() {
+            self.run_dsm_read_phase(ctx, id);
+        } else {
+            self.continue_lazy(ctx, id);
         }
     }
 
@@ -868,9 +899,9 @@ impl ReplicaServer {
     /// endpoint exports (its applied head for techniques without one —
     /// degenerate, since the local path is only wired for DSM levels).
     fn stable_watermark(&self) -> u64 {
-        self.gcs
+        self.dsm
             .as_ref()
-            .map_or(self.applied_seq, |g| g.stable_watermark())
+            .map_or(self.applied_seq, |d| d.gcs.stable_watermark())
     }
 
     /// The delivery sequence number this replica's committed state
@@ -1270,12 +1301,8 @@ impl ReplicaServer {
         };
         ctx.metrics().incr("txn_aborted_deadlock");
         self.oracle.borrow_mut().aborts += 1;
-        let reply = ServerReply::Aborted {
-            txn,
-            attempt: exec.req.attempt,
-        };
         let at = self.charge_net_cpu(ctx.now());
-        self.reply_at(ctx, at, exec.req.client, reply);
+        self.reply_aborted(ctx, at, exec.req.client, txn, exec.req.attempt);
         let granted = self.db.locks().release_all(txn);
         for (t, _) in granted {
             self.continue_lazy(ctx, t);
@@ -1283,9 +1310,10 @@ impl ReplicaServer {
     }
 
     fn on_exec_done(&mut self, ctx: &mut Ctx<'_>, txn: TxnId) {
-        match self.technique {
-            Technique::Dsm(_) => self.dsm_exec_done(ctx, txn),
-            Technique::Lazy => self.lazy_exec_done(ctx, txn),
+        if self.dsm.is_some() {
+            self.dsm_exec_done(ctx, txn);
+        } else {
+            self.lazy_exec_done(ctx, txn);
         }
     }
 
@@ -1314,15 +1342,7 @@ impl ReplicaServer {
                 });
             }
             let at = self.charge_net_cpu(ctx.now());
-            self.reply_at(
-                ctx,
-                at,
-                exec.req.client,
-                ServerReply::Aborted {
-                    txn,
-                    attempt: exec.req.attempt,
-                },
-            );
+            self.reply_aborted(ctx, at, exec.req.client, txn, exec.req.attempt);
             return;
         }
         if exec.kind != ExecKind::Local {
@@ -1351,8 +1371,7 @@ impl ReplicaServer {
                 ctx.emit(|| ObsEvent::BroadcastTxn { txn: obs_txn(txn) });
             }
             ctx.emit(|| ObsEvent::XgPrepare { txn: obs_txn(txn) });
-            let gcs = self.gcs.as_mut().expect("xg runs on group communication");
-            gcs.broadcast(ctx, Rc::new(GroupMsg::XgPrepare(prepare)));
+            self.broadcast(ctx, GroupMsg::XgPrepare(prepare));
             ctx.metrics().incr("xg_prepares");
             return;
         }
@@ -1365,16 +1384,7 @@ impl ReplicaServer {
                 // it falls back on, e.g. cross-group read-only.)
                 ctx.metrics().incr("txn_readonly");
                 let at = self.charge_net_cpu(ctx.now());
-                self.reply_at(
-                    ctx,
-                    at,
-                    exec.req.client,
-                    ServerReply::Committed {
-                        txn,
-                        attempt: exec.req.attempt,
-                        commit_seq: 0,
-                    },
-                );
+                self.reply_committed(ctx, at, exec.req.client, txn, exec.req.attempt, 0);
                 return;
             }
             // Broadcast reads: the read-only transaction's read set goes
@@ -1393,8 +1403,7 @@ impl ReplicaServer {
             snapshot: exec.snapshot,
         };
         ctx.emit(|| ObsEvent::BroadcastTxn { txn: obs_txn(txn) });
-        let gcs = self.gcs.as_mut().expect("DSM uses group communication");
-        gcs.broadcast(ctx, Rc::new(GroupMsg::Txn(msg)));
+        self.broadcast(ctx, GroupMsg::Txn(msg));
         ctx.metrics().incr("dsm_broadcasts");
     }
 
@@ -1406,16 +1415,7 @@ impl ReplicaServer {
         if exec.writes.is_empty() {
             ctx.metrics().incr("txn_readonly");
             let at = self.charge_net_cpu(now);
-            self.reply_at(
-                ctx,
-                at,
-                exec.req.client,
-                ServerReply::Committed {
-                    txn,
-                    attempt: exec.req.attempt,
-                    commit_seq: 0,
-                },
-            );
+            self.reply_committed(ctx, at, exec.req.client, txn, exec.req.attempt, 0);
             let granted = self.db.locks().release_all(txn);
             for (t, _) in granted {
                 self.continue_lazy(ctx, t);
@@ -1456,16 +1456,7 @@ impl ReplicaServer {
         } else {
             res.done
         };
-        self.reply_at(
-            ctx,
-            reply_at,
-            exec.req.client,
-            ServerReply::Committed {
-                txn,
-                attempt: exec.req.attempt,
-                commit_seq: 0,
-            },
-        );
+        self.reply_committed(ctx, reply_at, exec.req.client, txn, exec.req.attempt, 0);
         self.lazy_buffer.push((txn, writes));
         let granted = self.db.locks().release_all(txn);
         for (t, _) in granted {
@@ -1480,15 +1471,15 @@ impl ReplicaServer {
     fn on_deliver(
         &mut self,
         ctx: &mut Ctx<'_>,
+        level: SafetyLevel,
         seq: u64,
         msg: &GroupMsg,
-        redelivery: bool,
         span: u32,
     ) {
         match msg {
-            GroupMsg::Txn(m) => self.deliver_txn(ctx, seq, m, redelivery, span),
-            GroupMsg::XgPrepare(p) => self.deliver_xg_prepare(ctx, seq, p, span),
-            GroupMsg::XgDecision(d) => self.deliver_xg_decision(ctx, seq, d, span),
+            GroupMsg::Txn(m) => self.deliver_txn(ctx, level, seq, m, span),
+            GroupMsg::XgPrepare(p) => self.deliver_xg_prepare(ctx, level, seq, p, span),
+            GroupMsg::XgDecision(d) => self.deliver_xg_decision(ctx, level, seq, d, span),
         }
     }
 
@@ -1514,71 +1505,84 @@ impl ReplicaServer {
         self.cpu.borrow_mut().request(start, cert_cpu)
     }
 
+    /// A delivered transaction, processed in four steps: certify → apply
+    /// → log → reply (plus the end-to-end `ack(m)` its level owes).
     fn deliver_txn(
         &mut self,
         ctx: &mut Ctx<'_>,
+        level: SafetyLevel,
         seq: u64,
         msg: &DsmMsg,
-        redelivery: bool,
         span: u32,
     ) {
-        let now = ctx.now();
         let cert_items = match msg.snapshot {
             Some(_) => msg.writes.len(),
             None => msg.readset.len(),
         };
-        let decided_at = self.delivery_cpu(now, span, cert_items);
-        // Certification, extended by the cross-group reservation check:
-        // an item reserved by an in-flight cross-group transaction aborts
-        // any other transaction deterministically (all replicas share the
-        // reservation table at every delivery point). A transaction that
-        // already committed here short-circuits to its outcome (testable
-        // transactions): a lost-reply retry must be answered "committed",
-        // not re-certified against state that includes its own writes.
-        // Snapshot-isolation deliveries certify first-committer-wins over
-        // the write set against the shipped snapshot instead of the read
-        // set — the same deterministic function of (delivery order,
-        // message) at every replica.
-        let verdict = if self.force_commit_cert || self.db.is_committed(msg.txn) {
-            Certification::Commit
-        } else if let Some(snap) = msg.snapshot {
-            match certify_snapshot(&self.db, snap, &msg.writes) {
-                Certification::Commit => {
-                    match self
-                        .db
-                        .reserved_conflict(msg.txn, msg.writes.iter().map(|&(i, _)| i))
-                    {
-                        Some(conflict) => {
-                            ctx.metrics().incr("txn_aborted_reserved");
-                            Certification::Abort { conflict }
-                        }
-                        None => Certification::Commit,
+        let decided_at = self.delivery_cpu(ctx.now(), span, cert_items);
+        if self.certify_txn(ctx, seq, msg) {
+            let res = self.apply_txn(ctx, seq, msg, decided_at);
+            let record_lsn = self.db.wal_end_lsn().saturating_sub(1);
+            let processed_at = self.log_commit(ctx, level, &res, msg.writes.len());
+            self.apply_cursor = processed_at;
+            match level.reply_point() {
+                ReplyPoint::AllLogged => {
+                    self.await_group_logs(ctx, seq, msg, res.duplicate, record_lsn)
+                }
+                ReplyPoint::Processed | ReplyPoint::Logged => {
+                    if msg.delegate == self.node {
+                        let (client, txn, attempt) = (msg.client, msg.txn, msg.attempt);
+                        self.reply_committed(ctx, processed_at, client, txn, attempt, seq);
                     }
                 }
-                abort => abort,
+            }
+            if level.owes_ack() {
+                // A duplicate was logged by its first delivery.
+                self.owe_ack(ctx, seq, (!res.duplicate).then_some(record_lsn));
             }
         } else {
-            match certify(&self.db, &msg.readset) {
-                Certification::Commit => {
-                    match self
-                        .db
-                        .reserved_conflict(msg.txn, msg.readset.iter().map(|&(i, _)| i))
-                    {
-                        Some(conflict) => {
-                            ctx.metrics().incr("txn_aborted_reserved");
-                            Certification::Abort { conflict }
-                        }
-                        None => Certification::Commit,
-                    }
-                }
-                abort => abort,
+            ctx.metrics().incr("txn_aborted_cert");
+            self.apply_cursor = decided_at;
+            if msg.delegate == self.node {
+                self.oracle.borrow_mut().aborts += 1;
+                self.reply_aborted(ctx, decided_at, msg.client, msg.txn, msg.attempt);
             }
-        };
-        let level = match self.technique {
-            Technique::Dsm(l) => l,
-            Technique::Lazy => unreachable!("lazy does not deliver"),
-        };
-        let committed = matches!(verdict, Certification::Commit);
+            // Processing is complete (nothing to log): ack immediately.
+            if level.owes_ack() {
+                self.owe_ack(ctx, seq, None);
+            }
+        }
+        self.applied_seq = seq.max(self.applied_seq);
+    }
+
+    /// Certify step: the verdict every replica reaches for a delivered
+    /// transaction, folded into the order and certification digests (and,
+    /// on the delegate, the SI oracle's record). Returns true on commit.
+    ///
+    /// Certification is extended by the cross-group reservation check: an
+    /// item reserved by an in-flight cross-group transaction aborts any
+    /// other transaction deterministically (all replicas share the
+    /// reservation table at every delivery point). A transaction that
+    /// already committed here short-circuits to its outcome (testable
+    /// transactions): a lost-reply retry must be answered "committed",
+    /// not re-certified against state that includes its own writes.
+    /// Snapshot-isolation deliveries certify first-committer-wins over the
+    /// write set against the shipped snapshot instead of the read set —
+    /// the same deterministic function of (delivery order, message) at
+    /// every replica.
+    fn certify_txn(&mut self, ctx: &mut Ctx<'_>, seq: u64, msg: &DsmMsg) -> bool {
+        let committed = self.force_commit_cert
+            || self.db.is_committed(msg.txn)
+            || match msg.snapshot {
+                Some(snap) => {
+                    certify_snapshot(&self.db, snap, &msg.writes) == Certification::Commit
+                        && !self.reserved(ctx, msg.txn, msg.writes.iter().map(|&(i, _)| i))
+                }
+                None => {
+                    certify(&self.db, &msg.readset) == Certification::Commit
+                        && !self.reserved(ctx, msg.txn, msg.readset.iter().map(|&(i, _)| i))
+                }
+            };
         {
             let txn = msg.txn;
             ctx.emit(|| ObsEvent::Certify {
@@ -1603,178 +1607,167 @@ impl ReplicaServer {
                 });
             }
         }
-        match verdict {
-            Certification::Abort { .. } => {
-                ctx.metrics().incr("txn_aborted_cert");
-                self.apply_cursor = decided_at;
-                if msg.delegate == self.node {
-                    self.oracle.borrow_mut().aborts += 1;
-                    let reply = ServerReply::Aborted {
-                        txn: msg.txn,
-                        attempt: msg.attempt,
-                    };
-                    self.reply_at(ctx, decided_at, msg.client, reply);
-                }
-                // Processing is complete (nothing to log): ack immediately.
-                if matches!(level, SafetyLevel::TwoSafe | SafetyLevel::VerySafe) {
-                    if let Some(gcs) = &mut self.gcs {
-                        gcs.app_ack(ctx, seq);
-                    }
-                }
+        committed
+    }
+
+    /// True when an in-flight cross-group transaction other than `txn`
+    /// holds one of `items` (counted as a reservation abort).
+    fn reserved(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        txn: TxnId,
+        items: impl IntoIterator<Item = ItemId>,
+    ) -> bool {
+        let reserved = self.db.reserved_conflict(txn, items).is_some();
+        if reserved {
+            ctx.metrics().incr("txn_aborted_reserved");
+        }
+        reserved
+    }
+
+    /// Apply step: install a committed transaction's writes at version
+    /// `seq` and record the commit for the oracle.
+    fn apply_txn(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        seq: u64,
+        msg: &DsmMsg,
+        at: SimTime,
+    ) -> CommitResult {
+        let writes = Self::versioned(&msg.writes, seq);
+        let res = self.db.commit(at, msg.txn, &writes);
+        if !res.duplicate {
+            let txn = msg.txn;
+            ctx.emit(|| ObsEvent::Apply { txn: obs_txn(txn) });
+        }
+        if !res.duplicate && !writes.is_empty() {
+            // Broadcast read-only transactions leave no commit record:
+            // like classic read-only commits they promise no durability,
+            // so the loss audit must not demand it.
+            ctx.metrics().incr("txn_committed");
+            self.oracle.borrow_mut().record_commit(
+                msg.txn,
+                msg.delegate,
+                msg.readset.clone(),
+                writes,
+            );
+        }
+        res
+    }
+
+    /// Log step of a committed delivery: processing completion per safety
+    /// level. Where the reply precedes logging (Fig. 8) every disk write
+    /// leaves the transaction boundary and the pipeline only pays CPU;
+    /// otherwise *every* replica runs commit(t) within the processing
+    /// step (Fig. 2) — it forces the commit record (serialised in the
+    /// delivery pipeline) and installs the `pages` written pages
+    /// synchronously (concurrent with later deliveries). A duplicate was
+    /// logged by its first delivery. Returns when processing completes.
+    fn log_commit(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        level: SafetyLevel,
+        res: &CommitResult,
+        pages: usize,
+    ) -> SimTime {
+        if level.reply_before_logging() || res.duplicate {
+            return res.done;
+        }
+        let mut done = res.done;
+        if let Some((flush_done, lsn)) = self.db.flush_wal_sync(res.done) {
+            let delay = flush_done - ctx.now();
+            ctx.timer(delay, ServerTimer::WalDurable(lsn));
+            done = flush_done;
+        }
+        self.db.sync_install(done, pages)
+    }
+
+    /// Reply step of a level that answers once every replica logged the
+    /// transaction (very-safe): each replica confirms to the delegate once
+    /// its record is durable; the delegate answers after all n.
+    fn await_group_logs(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        seq: u64,
+        msg: &DsmMsg,
+        duplicate: bool,
+        record_lsn: Lsn,
+    ) {
+        let is_delegate = msg.delegate == self.node;
+        if !duplicate {
+            self.pending_confirms
+                .push((record_lsn, msg.txn, msg.delegate));
+            ctx.metrics().incr("very_confirm_registered");
+            if is_delegate {
+                let early = self.very_early.remove(&msg.txn).unwrap_or_default();
+                self.very_waiting
+                    .insert(msg.txn, (msg.client, msg.attempt, seq, early));
+                ctx.metrics().incr("very_waiting_opened");
+                self.check_very_complete(ctx, msg.txn);
             }
-            Certification::Commit => {
-                let writes: Vec<WriteOp> = msg
-                    .writes
-                    .iter()
-                    .map(|&(item, value)| WriteOp {
-                        item,
-                        value,
-                        version: seq,
-                    })
-                    .collect();
-                let res = self.db.commit(decided_at, msg.txn, &writes);
-                if !res.duplicate {
-                    let txn = msg.txn;
-                    ctx.emit(|| ObsEvent::Apply { txn: obs_txn(txn) });
-                }
-                if !res.duplicate && !writes.is_empty() {
-                    // Broadcast read-only transactions leave no commit
-                    // record: like classic read-only commits they promise
-                    // no durability, so the loss audit must not demand it.
-                    ctx.metrics().incr("txn_committed");
-                    self.oracle.borrow_mut().record_commit(
-                        msg.txn,
-                        msg.delegate,
-                        msg.readset.clone(),
-                        writes,
-                    );
-                }
-                let record_lsn = self.db.wal_end_lsn().saturating_sub(1);
-                let is_delegate = msg.delegate == self.node;
-                // Processing completion per safety level. Under
-                // group-1-safe and 2-safe, *every* replica writes the
-                // commit record synchronously inside the delivery pipeline
-                // (Fig. 2: all servers run commit(t) as part of
-                // processing); under 0-safe/group-safe the log write is
-                // asynchronous and the pipeline only pays CPU (Fig. 8).
-                let processed_at = if level.reply_before_logging() || res.duplicate {
-                    // Fig. 8: all disk writes leave the transaction
-                    // boundary; the pipeline only pays CPU.
-                    res.done
-                } else {
-                    // Fig. 2: commit(t) completes within the processing
-                    // step — force the commit record (serialised in the
-                    // delivery pipeline) and install the written pages
-                    // synchronously (concurrent with later deliveries).
-                    let mut done = res.done;
-                    if let Some((flush_done, lsn)) = self.db.flush_wal_sync(res.done) {
-                        let delay = flush_done - now;
-                        ctx.timer(delay, ServerTimer::WalDurable(lsn));
-                        done = flush_done;
-                    }
-                    self.db.sync_install(done, msg.writes.len())
-                };
-                self.apply_cursor = processed_at;
-                if level == SafetyLevel::VerySafe && !res.duplicate {
-                    // Confirmations flow to the delegate once each record
-                    // is durable; the delegate answers after all n.
-                    self.pending_confirms
-                        .push((record_lsn, msg.txn, msg.delegate));
-                    ctx.metrics().incr("very_confirm_registered");
-                    if is_delegate {
-                        let early = self.very_early.remove(&msg.txn).unwrap_or_default();
-                        self.very_waiting
-                            .insert(msg.txn, (msg.client, msg.attempt, seq, early));
-                        ctx.metrics().incr("very_waiting_opened");
-                        self.check_very_complete(ctx, msg.txn);
-                    }
-                } else if level == SafetyLevel::VerySafe {
-                    // Duplicate delivery of a very-safe transaction — a
-                    // failover resubmission through a *different* delegate,
-                    // or a retry after a lost reply. The answer must still
-                    // wait until the whole group confirms logging (a new
-                    // delegate holds none of the original confirmations),
-                    // so the group re-confirms: every replica re-announces
-                    // durability of its copy once its appended log prefix
-                    // is on disk.
-                    if is_delegate {
-                        let early = self.very_early.remove(&msg.txn).unwrap_or_default();
-                        let entry = self.very_waiting.entry(msg.txn).or_insert_with(|| {
-                            (
-                                msg.client,
-                                msg.attempt,
-                                seq,
-                                std::collections::BTreeSet::new(),
-                            )
-                        });
-                        entry.0 = msg.client;
-                        entry.1 = msg.attempt;
-                        entry.2 = seq;
-                        entry.3.extend(early);
-                        ctx.metrics().incr("very_waiting_reopened");
-                    }
-                    // The original record sits at an unknown earlier LSN;
-                    // the prefix appended so far covers it.
-                    let fence = self.db.wal_end_lsn();
-                    if self.db.wal_durable_lsn() >= fence {
-                        // Our copy is already durable: confirm at once.
-                        if is_delegate {
-                            self.record_confirm(ctx, msg.txn, self.node);
-                        } else {
-                            self.charge_net_cpu(ctx.now());
-                            self.net.send(
-                                ctx,
-                                self.node,
-                                msg.delegate,
-                                LoggedConfirm { txn: msg.txn },
-                            );
-                        }
-                    } else {
-                        self.pending_confirms.push((
-                            fence.saturating_sub(1),
-                            msg.txn,
-                            msg.delegate,
-                        ));
-                    }
-                    if is_delegate {
-                        self.check_very_complete(ctx, msg.txn);
-                    }
-                } else if is_delegate {
-                    let reply = ServerReply::Committed {
-                        txn: msg.txn,
-                        attempt: msg.attempt,
-                        commit_seq: seq,
-                    };
-                    self.reply_at(ctx, processed_at, msg.client, reply);
-                }
-                if matches!(level, SafetyLevel::TwoSafe | SafetyLevel::VerySafe) {
-                    if res.duplicate {
-                        // Already logged previously.
-                        if let Some(gcs) = &mut self.gcs {
-                            gcs.app_ack(ctx, seq);
-                        }
-                    } else {
-                        // ack(m) once the record is durable.
-                        self.pending_acks.push((record_lsn, seq));
-                    }
+            return;
+        }
+        // A duplicate delivery — a failover resubmission through a
+        // *different* delegate, or a retry after a lost reply. The answer
+        // must still wait until the whole group confirms logging (a new
+        // delegate holds none of the original confirmations), so the group
+        // re-confirms: every replica re-announces durability of its copy
+        // once its appended log prefix is on disk.
+        if is_delegate {
+            let early = self.very_early.remove(&msg.txn).unwrap_or_default();
+            let mut confirmed = self
+                .very_waiting
+                .remove(&msg.txn)
+                .map(|(.., c)| c)
+                .unwrap_or_default();
+            confirmed.extend(early);
+            self.very_waiting
+                .insert(msg.txn, (msg.client, msg.attempt, seq, confirmed));
+            ctx.metrics().incr("very_waiting_reopened");
+        }
+        // The original record sits at an unknown earlier LSN; the prefix
+        // appended so far covers it.
+        let fence = self.db.wal_end_lsn();
+        if self.db.wal_durable_lsn() >= fence {
+            // Our copy is already durable: confirm at once.
+            self.confirm_logged(ctx, msg.txn, msg.delegate);
+        } else {
+            self.pending_confirms
+                .push((fence.saturating_sub(1), msg.txn, msg.delegate));
+        }
+        if is_delegate {
+            self.check_very_complete(ctx, msg.txn);
+        }
+    }
+
+    /// The end-to-end `ack(m)` for delivery `seq`: once the WAL covers
+    /// `lsn`, or at once when the delivery left nothing new to make
+    /// durable (`None`).
+    fn owe_ack(&mut self, ctx: &mut Ctx<'_>, seq: u64, lsn: Option<Lsn>) {
+        match lsn {
+            Some(lsn) => self.pending_acks.push((lsn, seq)),
+            None => {
+                if let Some(dsm) = &mut self.dsm {
+                    dsm.gcs.app_ack(ctx, seq);
                 }
             }
         }
-        self.applied_seq = seq.max(self.applied_seq);
-        let _ = redelivery;
     }
 
     /// Phase 1 delivery: certify the slice (certification plus the
     /// reservation check), reserve its items on success, and — on the
     /// replica that broadcast it — vote to the coordinator. Uniform
     /// delivery makes the verdict identical on every group member.
-    fn deliver_xg_prepare(&mut self, ctx: &mut Ctx<'_>, seq: u64, p: &XgPrepare, span: u32) {
+    fn deliver_xg_prepare(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        level: SafetyLevel,
+        seq: u64,
+        p: &XgPrepare,
+        span: u32,
+    ) {
         let now = ctx.now();
         let decided_at = self.delivery_cpu(now, span, p.readset.len());
-        let level = match self.technique {
-            Technique::Dsm(l) => l,
-            Technique::Lazy => unreachable!("lazy does not deliver"),
-        };
         // The verdict depends only on delivery-ordered state that state
         // transfer carries (committed versions + the reservation table),
         // so every group member — including a mid-protocol joiner —
@@ -1792,7 +1785,6 @@ impl ReplicaServer {
                     .is_none());
         self.mix_order(seq, p.txn, ok);
         self.apply_cursor = decided_at;
-        let logging = matches!(level, SafetyLevel::TwoSafe | SafetyLevel::VerySafe);
         if ok {
             ctx.metrics().incr("xg_reserved");
             let items: Vec<ItemId> = p
@@ -1801,7 +1793,7 @@ impl ReplicaServer {
                 .map(|&(i, _)| i)
                 .chain(p.writes.iter().map(|&(i, _)| i))
                 .collect();
-            if logging {
+            if level.owes_ack() {
                 // End-to-end abcast: the reservation must survive a
                 // crash before `ack(m)` — an acked entry is never
                 // redelivered, so an unlogged reservation would silently
@@ -1810,15 +1802,13 @@ impl ReplicaServer {
                 // background group-commit flush covers it; nothing else
                 // (vote, pipeline) waits on the disk.
                 let record_lsn = self.db.reserve_logged(p.txn, p.coordinator.0, items);
-                self.pending_acks.push((record_lsn, seq));
+                self.owe_ack(ctx, seq, Some(record_lsn));
             } else {
                 self.db.reserve(p.txn, p.coordinator.0, items);
             }
-        } else if logging {
+        } else if level.owes_ack() {
             // A rejected prepare changes nothing durable: ack at once.
-            if let Some(gcs) = &mut self.gcs {
-                gcs.app_ack(ctx, seq);
-            }
+            self.owe_ack(ctx, seq, None);
         }
         if p.delegate == self.node {
             {
@@ -1867,18 +1857,19 @@ impl ReplicaServer {
     }
 
     /// Phase 2 delivery: release the transaction's reservations and, on
-    /// commit, apply this group's slice with the group's per-level
-    /// processing semantics (asynchronous logging for 0-safe/group-safe,
-    /// synchronous commit record otherwise). The coordinator's replica
+    /// commit, apply this group's slice through the same log, reply and
+    /// ack steps as a single-group commit. The coordinator's replica
     /// answers the client at the level's reply point.
-    fn deliver_xg_decision(&mut self, ctx: &mut Ctx<'_>, seq: u64, d: &XgDecision, span: u32) {
-        let now = ctx.now();
+    fn deliver_xg_decision(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        level: SafetyLevel,
+        seq: u64,
+        d: &XgDecision,
+        span: u32,
+    ) {
         let slice: Vec<(ItemId, Value)> = d.writes_of(self.group).unwrap_or(&[]).to_vec();
-        let decided_at = self.delivery_cpu(now, span, slice.len());
-        let level = match self.technique {
-            Technique::Dsm(l) => l,
-            Technique::Lazy => unreachable!("lazy does not deliver"),
-        };
+        let decided_at = self.delivery_cpu(ctx.now(), span, slice.len());
         {
             let (txn, commit) = (d.txn, d.commit);
             ctx.emit(|| ObsEvent::XgDecision {
@@ -1898,56 +1889,33 @@ impl ReplicaServer {
         // Keep the *latest* decision per transaction: a retry's commit
         // must supersede an earlier attempt's abort for probe answers
         // and rebroadcast suppression.
-        match self.xg_decided.entry(d.txn) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(d.clone());
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                if d.attempt > e.get().attempt {
-                    e.insert(d.clone());
-                }
-            }
+        if self
+            .xg_decided
+            .get(&d.txn)
+            .is_none_or(|seen| d.attempt > seen.attempt)
+        {
+            self.xg_decided.insert(d.txn, d.clone());
         }
         self.mix_order(seq, d.txn, d.commit);
         let is_coord = d.coordinator == self.node;
-        let logging = matches!(level, SafetyLevel::TwoSafe | SafetyLevel::VerySafe);
         if !d.commit {
             ctx.metrics().incr("xg_aborts_applied");
             self.apply_cursor = decided_at;
             if is_coord {
                 self.oracle.borrow_mut().aborts += 1;
-                self.reply_at(
-                    ctx,
-                    decided_at,
-                    d.client,
-                    ServerReply::Aborted {
-                        txn: d.txn,
-                        attempt: d.attempt,
-                    },
-                );
+                self.reply_aborted(ctx, decided_at, d.client, d.txn, d.attempt);
             }
-            if logging {
-                if held {
-                    // The release must be redo-visible before ack(m),
-                    // for the same reason the reservation was logged.
-                    let record_lsn = self.db.release_logged(d.txn);
-                    self.pending_acks.push((record_lsn, seq));
-                } else if let Some(gcs) = &mut self.gcs {
-                    // Nothing durable changed: ack at once.
-                    gcs.app_ack(ctx, seq);
-                }
+            if level.owes_ack() {
+                // The release must be redo-visible before ack(m), for the
+                // same reason the reservation was logged; with nothing
+                // durable changed, ack at once.
+                let lsn = held.then(|| self.db.release_logged(d.txn));
+                self.owe_ack(ctx, seq, lsn);
             }
             self.applied_seq = seq.max(self.applied_seq);
             return;
         }
-        let writes: Vec<WriteOp> = slice
-            .iter()
-            .map(|&(item, value)| WriteOp {
-                item,
-                value,
-                version: seq,
-            })
-            .collect();
+        let writes = Self::versioned(&slice, seq);
         let res = self.db.commit(decided_at, d.txn, &writes);
         if !res.duplicate {
             ctx.metrics().incr("txn_committed");
@@ -1958,49 +1926,22 @@ impl ReplicaServer {
             oracle.record_xg(d.txn, d.groups.clone(), coord_group);
         }
         let record_lsn = self.db.wal_end_lsn().saturating_sub(1);
-        // Per-level processing completion, exactly as for single-group
-        // commits: group-safe levels leave all disk writes outside the
-        // boundary, the logging levels force the record (and pages) inside
-        // the delivery pipeline.
-        let processed_at = if level.reply_before_logging() || res.duplicate {
-            res.done
-        } else {
-            let mut done = res.done;
-            if let Some((flush_done, lsn)) = self.db.flush_wal_sync(res.done) {
-                let delay = flush_done - now;
-                ctx.timer(delay, ServerTimer::WalDurable(lsn));
-                done = flush_done;
-            }
-            self.db.sync_install(done, slice.len())
-        };
+        let processed_at = self.log_commit(ctx, level, &res, slice.len());
         self.apply_cursor = processed_at;
         if is_coord {
-            self.reply_at(
-                ctx,
-                processed_at,
-                d.client,
-                ServerReply::Committed {
-                    txn: d.txn,
-                    attempt: d.attempt,
-                    commit_seq: seq,
-                },
-            );
+            self.reply_committed(ctx, processed_at, d.client, d.txn, d.attempt, seq);
         }
-        if logging {
-            if res.duplicate {
-                if held {
-                    // The commit record (which releases at redo) is from
-                    // an earlier delivery; only this decision's release
-                    // of a re-prepare reservation is new — make it
-                    // redo-visible before ack(m).
-                    let dup_lsn = self.db.release_logged(d.txn);
-                    self.pending_acks.push((dup_lsn, seq));
-                } else if let Some(gcs) = &mut self.gcs {
-                    gcs.app_ack(ctx, seq);
-                }
+        if level.owes_ack() {
+            // A duplicate's commit record (which releases at redo) is from
+            // an earlier delivery; only this decision's release of a
+            // re-prepare reservation is new — make it redo-visible before
+            // ack(m).
+            let lsn = if res.duplicate {
+                held.then(|| self.db.release_logged(d.txn))
             } else {
-                self.pending_acks.push((record_lsn, seq));
-            }
+                Some(record_lsn)
+            };
+            self.owe_ack(ctx, seq, lsn);
         }
         self.applied_seq = seq.max(self.applied_seq);
     }
@@ -2075,8 +2016,7 @@ impl ReplicaServer {
         };
         for &g in &entry.groups {
             if g == self.group {
-                let gcs = self.gcs.as_mut().expect("xg runs on group communication");
-                gcs.broadcast(ctx, Rc::new(GroupMsg::XgDecision(d.clone())));
+                self.broadcast(ctx, GroupMsg::XgDecision(d.clone()));
             } else {
                 self.charge_net_cpu(ctx.now());
                 self.net
@@ -2110,10 +2050,8 @@ impl ReplicaServer {
             return;
         }
         self.xg_forwarded.insert(d.txn, (d.attempt, now));
-        if let Some(gcs) = &mut self.gcs {
-            gcs.broadcast(ctx, Rc::new(GroupMsg::XgDecision(d)));
-            ctx.metrics().incr("xg_decision_rebroadcasts");
-        }
+        self.broadcast(ctx, GroupMsg::XgDecision(d));
+        ctx.metrics().incr("xg_decision_rebroadcasts");
     }
 
     /// A participant asks whether a transaction was decided; answer with
@@ -2159,20 +2097,18 @@ impl ReplicaServer {
     ) {
         for o in outputs {
             match o {
-                GcsOutput::Deliver {
-                    seq,
-                    payload,
-                    redelivery,
-                    ..
-                } => {
-                    let span = self.gcs.as_ref().map_or(1, |g| g.frame_span(seq));
-                    self.on_deliver(ctx, seq, &payload, redelivery, span)
+                GcsOutput::Deliver { seq, payload, .. } => {
+                    if let Some(dsm) = &self.dsm {
+                        let (level, span) = (dsm.level, dsm.gcs.frame_span(seq));
+                        self.on_deliver(ctx, level, seq, &payload, span);
+                    }
                 }
                 GcsOutput::CheckpointRequest { joiner, generation } => {
                     let ckpt = self.db.checkpoint();
                     let applied = self.applied_seq;
-                    if let Some(gcs) = &mut self.gcs {
-                        gcs.checkpoint_ready(ctx, joiner, generation, ckpt, applied);
+                    if let Some(dsm) = &mut self.dsm {
+                        dsm.gcs
+                            .checkpoint_ready(ctx, joiner, generation, ckpt, applied);
                     }
                 }
                 GcsOutput::InstallState { state, applied_seq } => {
@@ -2232,9 +2168,9 @@ impl ReplicaServer {
                     .map(|(_, s)| *s)
                     .collect();
                 self.pending_acks.retain(|(l, _)| *l >= lsn);
-                if let Some(gcs) = &mut self.gcs {
+                if let Some(dsm) = &mut self.dsm {
                     for seq in ready {
-                        gcs.app_ack(ctx, seq);
+                        dsm.gcs.app_ack(ctx, seq);
                     }
                 }
                 // Very-safe: tell each delegate its record is on our disk.
@@ -2246,13 +2182,7 @@ impl ReplicaServer {
                     .collect();
                 self.pending_confirms.retain(|(l, _, _)| *l >= lsn);
                 for (txn, delegate) in confirms {
-                    if delegate == self.node {
-                        self.record_confirm(ctx, txn, self.node);
-                    } else {
-                        self.charge_net_cpu(ctx.now());
-                        self.net
-                            .send(ctx, self.node, delegate, LoggedConfirm { txn });
-                    }
+                    self.confirm_logged(ctx, txn, delegate);
                 }
             }
             ServerTimer::PageFlushTick => {
@@ -2328,6 +2258,18 @@ impl ReplicaServer {
         }
     }
 
+    /// Very-safe: tell `delegate` this replica's record of `txn` is on
+    /// disk.
+    fn confirm_logged(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, delegate: NodeId) {
+        if delegate == self.node {
+            self.record_confirm(ctx, txn, self.node);
+        } else {
+            self.charge_net_cpu(ctx.now());
+            self.net
+                .send(ctx, self.node, delegate, LoggedConfirm { txn });
+        }
+    }
+
     /// Delegate side of very-safe: count a replica's logging confirmation
     /// and answer the client once the whole group confirmed.
     fn record_confirm(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, from: NodeId) {
@@ -2351,16 +2293,7 @@ impl ReplicaServer {
             ctx.metrics().incr("very_replies");
             let (client, attempt, commit_seq, _) = self.very_waiting.remove(&txn).expect("present");
             let at = self.charge_net_cpu(ctx.now());
-            self.reply_at(
-                ctx,
-                at,
-                client,
-                ServerReply::Committed {
-                    txn,
-                    attempt,
-                    commit_seq,
-                },
-            );
+            self.reply_committed(ctx, at, client, txn, attempt, commit_seq);
         }
     }
 
@@ -2389,8 +2322,9 @@ impl Actor for ReplicaServer {
         };
         let payload = match payload.downcast::<RestartServerCmd>() {
             Ok(cmd) => {
-                if let Some(gcs) = &mut self.gcs {
-                    gcs.restart_group(ctx, cmd.members.clone(), cmd.seq_base);
+                if let Some(dsm) = &mut self.dsm {
+                    dsm.gcs
+                        .restart_group(ctx, cmd.members.clone(), cmd.seq_base);
                 }
                 self.applied_seq = cmd.seq_base;
                 self.state_floor = self.state_floor.max(cmd.seq_base);
@@ -2439,8 +2373,8 @@ impl Actor for ReplicaServer {
         let payload = match payload.downcast::<Incoming<RWire>>() {
             Ok(inc) => {
                 let mut outputs = Vec::new();
-                if let Some(gcs) = &mut self.gcs {
-                    gcs.on_net(ctx, inc.from, inc.msg, &mut outputs);
+                if let Some(dsm) = &mut self.dsm {
+                    dsm.gcs.on_net(ctx, inc.from, inc.msg, &mut outputs);
                 }
                 self.handle_gcs_outputs(ctx, outputs);
                 return;
@@ -2494,8 +2428,8 @@ impl Actor for ReplicaServer {
         let payload = match payload.downcast::<GcsTimer>() {
             Ok(t) => {
                 let mut outputs = Vec::new();
-                if let Some(gcs) = &mut self.gcs {
-                    gcs.on_timer(ctx, *t, &mut outputs);
+                if let Some(dsm) = &mut self.dsm {
+                    dsm.gcs.on_timer(ctx, *t, &mut outputs);
                 }
                 self.handle_gcs_outputs(ctx, outputs);
                 return;
@@ -2511,8 +2445,8 @@ impl Actor for ReplicaServer {
     fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
         self.up = false;
         self.crashes += 1;
-        if let Some(gcs) = &mut self.gcs {
-            gcs.on_crash();
+        if let Some(dsm) = &mut self.dsm {
+            dsm.gcs.on_crash();
         }
         self.execs.clear();
         self.pending_acks.clear();
@@ -2543,13 +2477,13 @@ impl Actor for ReplicaServer {
         self.applied_seq = 0;
         self.apply_cursor = ctx.now();
         let mut outputs = Vec::new();
-        if let Some(gcs) = &mut self.gcs {
-            gcs.on_recover(ctx, &mut outputs);
+        if let Some(dsm) = &mut self.dsm {
+            dsm.gcs.on_recover(ctx, &mut outputs);
         }
         self.handle_gcs_outputs(ctx, outputs);
         ctx.timer(self.cfg.wal_flush_interval, ServerTimer::WalFlushTick);
         ctx.timer(self.cfg.page_flush_interval, ServerTimer::PageFlushTick);
-        if self.technique == Technique::Lazy {
+        if self.dsm.is_none() {
             ctx.timer(self.cfg.lazy_prop_interval, ServerTimer::LazyPropTick);
         }
         // Reservations redone from the WAL need their decision probes

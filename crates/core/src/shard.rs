@@ -347,27 +347,52 @@ impl ShardSpec {
     }
 
     /// The `GROUPSAFE_SHARDS` environment profile (the CI hook that runs
-    /// the same suite sharded and unsharded): `GROUPSAFE_SHARDS=3` runs
-    /// every builder-assembled system as 3 hash-routed groups, and
-    /// `GROUPSAFE_CROSS_SHARD=0.1` adds a 10 % cross-group transaction
-    /// fraction. Explicit shard setters on the builder win over the
-    /// profile. Returns `None` when the variable is unset or not a
-    /// number (e.g. `off`).
-    pub fn from_env() -> Option<ShardSpec> {
-        let groups: u32 = std::env::var("GROUPSAFE_SHARDS")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()?;
-        let cross_fraction = std::env::var("GROUPSAFE_CROSS_SHARD")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0.0);
-        Some(ShardSpec {
+    /// the same suite sharded and unsharded). Recognised values:
+    ///
+    /// * unset, empty, or `off` → `None` (callers keep their default),
+    /// * `N` (N ≥ 1) → every builder-assembled system runs as N
+    ///   hash-routed groups, with the cross-group transaction fraction
+    ///   `GROUPSAFE_CROSS_SHARD` (a number in [0, 1]; unset or empty = 0).
+    ///
+    /// Explicit shard setters on the builder win over the profile.
+    ///
+    /// # Errors
+    /// A malformed value of either variable is an `Err` describing it: a
+    /// typo must fail the run loudly, not silently build an unsharded
+    /// system (which would make a "sharded" CI pass vacuous). The caller
+    /// (the system builder) turns it into its typed build error.
+    pub fn from_env() -> Result<Option<ShardSpec>, String> {
+        let var = |name| {
+            let raw = std::env::var(name).unwrap_or_default();
+            Some(raw.trim().to_string()).filter(|v| !v.is_empty())
+        };
+        let cross = var("GROUPSAFE_CROSS_SHARD").unwrap_or_else(|| "0".into());
+        let cross_fraction = match cross.parse::<f64>() {
+            Ok(f) if (0.0..=1.0).contains(&f) => f,
+            _ => {
+                return Err(format!(
+                    "GROUPSAFE_CROSS_SHARD={cross:?} is not a fraction in [0, 1]"
+                ))
+            }
+        };
+        let groups = match var("GROUPSAFE_SHARDS") {
+            None => return Ok(None),
+            Some(raw) if raw.eq_ignore_ascii_case("off") => return Ok(None),
+            Some(raw) => match raw.parse::<u32>() {
+                Ok(groups) if groups >= 1 => groups,
+                _ => {
+                    return Err(format!(
+                        "cannot parse {raw:?} (expected off or a group count >= 1)"
+                    ))
+                }
+            },
+        };
+        let strategy = ShardStrategy::Hash;
+        Ok(Some(ShardSpec {
             groups,
-            strategy: ShardStrategy::Hash,
+            strategy,
             cross_fraction,
-        })
+        }))
     }
 }
 

@@ -12,8 +12,7 @@
 //!   ([`Disk`], Table 4 parameters),
 //! * metrics ([`Metrics`], [`Histogram`]) and deterministic structured
 //!   observability ([`ObsEvent`], [`Obs`], [`obs`]): typed pipeline
-//!   events, a bounded flight recorder, and byte-stable exporters, with
-//!   the legacy string [`Trace`] kept as a materialised view.
+//!   events, a bounded flight recorder, and byte-stable exporters.
 //!
 //! Determinism is a hard invariant: one seed, one dispatch sequence
 //! ([`Engine::fingerprint`]), so every experiment in the paper can be
@@ -28,7 +27,6 @@ pub mod metrics;
 pub mod obs;
 pub mod resource;
 pub mod time;
-pub mod trace;
 
 pub use disk::{Disk, DiskConfig, DiskStats};
 pub use engine::{Actor, ActorId, AsAny, Ctx, Engine, Payload, Scheduler};
@@ -39,7 +37,6 @@ pub use obs::{
 };
 pub use resource::Fcfs;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};
 
 /// Downcast a [`Payload`] into one of several event types.
 ///

@@ -9,6 +9,9 @@
 //! recover plans landing on the same tick boundaries as deliveries, then
 //! compare fingerprint, dispatch count, and the full trace entry-by-entry.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use groupsafe_sim::{
     downcast_payload, Actor, ActorId, Ctx, Engine, Payload, Scheduler, SimDuration, SimTime,
 };
@@ -18,6 +21,10 @@ use rand::Rng;
 /// A hop-counted message bounced between workers.
 struct Hop(u8);
 
+/// The trace the workers share: one `time|actor|label` entry per handled
+/// event, in dispatch order.
+type Log = Rc<RefCell<Vec<String>>>;
+
 /// A worker that relays hop-counted messages to pseudo-random peers with
 /// pseudo-random delays. All randomness comes from the engine RNG, so the
 /// behavior is a pure function of the dispatch order — exactly the thing
@@ -25,6 +32,14 @@ struct Hop(u8);
 struct Worker {
     id: u32,
     peers: u32,
+    log: Log,
+}
+
+impl Worker {
+    fn record(&self, ctx: &Ctx<'_>, label: String) {
+        let entry = format!("{:?}|{}|{}", ctx.now(), ctx.me().0, label);
+        self.log.borrow_mut().push(entry);
+    }
 }
 
 /// Delay palette in nanoseconds: same-instant, within the first wheel
@@ -37,7 +52,7 @@ impl Actor for Worker {
         downcast_payload!(payload, self.name(), {
             hop: Hop => {
                 let hops = hop.0;
-                ctx.trace(|| format!("w{}:hop{}", self.id, hops));
+                self.record(ctx, format!("w{}:hop{}", self.id, hops));
                 if hops > 0 {
                     let d = DELAYS[ctx.rng().random_range(0..DELAYS.len())];
                     let target = ActorId(ctx.rng().random_range(0..self.peers));
@@ -53,11 +68,11 @@ impl Actor for Worker {
     }
 
     fn on_crash(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.trace(|| format!("w{}:crash", self.id));
+        self.record(ctx, format!("w{}:crash", self.id));
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.trace(|| format!("w{}:recover", self.id));
+        self.record(ctx, format!("w{}:recover", self.id));
         // The fresh incarnation kicks off new work of its own.
         ctx.timer(SimDuration::from_millis(1), Hop(2));
     }
@@ -85,11 +100,12 @@ fn run_plan(
     plans: &[Plan],
 ) -> (u64, u64, Vec<String>) {
     let mut eng = Engine::new_with_scheduler(seed, scheduler);
-    eng.enable_trace();
+    let log = Log::default();
     for id in 0..n_workers {
         eng.add_actor(Box::new(Worker {
             id,
             peers: n_workers,
+            log: log.clone(),
         }));
     }
     for (i, p) in plans.iter().enumerate() {
@@ -101,12 +117,7 @@ fn run_plan(
         }
     }
     eng.run_to_completion();
-    let trace = eng
-        .trace()
-        .entries()
-        .iter()
-        .map(|e| format!("{:?}|{}|{}", e.time, e.actor.0, e.label))
-        .collect();
+    let trace = log.take();
     (eng.fingerprint(), eng.dispatched(), trace)
 }
 

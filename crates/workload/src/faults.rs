@@ -156,10 +156,7 @@ impl CrashScenario {
         }
         if let RecoveryPlan::Recover { downtime } = self.recovery {
             let total_failure = self.crash.len() == self.params.n_servers as usize;
-            let dynamic = self
-                .technique
-                .gcs_config()
-                .is_some_and(|c| c.model == groupsafe_gcs::GcsModel::ViewBased);
+            let dynamic = self.technique.safety_level().view_based();
             if total_failure && dynamic {
                 // Dynamic model, total failure: the group cannot re-form
                 // on its own — script the operator restart.
