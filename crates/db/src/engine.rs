@@ -134,6 +134,10 @@ pub struct DbEngine {
     /// pruned at the group-stable watermark by
     /// [`DbEngine::prune_versions`].
     history: Vec<Vec<(Version, ItemState)>>,
+    /// Items whose `history` chain is non-empty, in the order their
+    /// chains were seeded: pruning and reseeding walk these, not all
+    /// `n_items` chains. Every item outside the list has an empty chain.
+    live: Vec<ItemId>,
     /// Newest group-stable watermark seen by [`DbEngine::prune_versions`]:
     /// the depth cap may only trim chain entries strictly below the
     /// snapshot floor this watermark pins.
@@ -176,6 +180,7 @@ impl DbEngine {
             stats: DbStats::default(),
             reservations: BTreeMap::new(),
             history: vec![Vec::new(); config.n_items as usize],
+            live: Vec::new(),
             stable_floor: 0,
             mvcc_evictions: 0,
             wal: Wal::new(log_disk),
@@ -393,7 +398,9 @@ impl DbEngine {
             return;
         }
         self.stable_floor = self.stable_floor.max(stable);
-        for chain in &mut self.history {
+        let history = &mut self.history;
+        self.live.retain(|item| {
+            let chain = &mut history[item.index()];
             // Index of the first version above the watermark; the entry
             // just below it is the floor snapshot and must survive.
             let above = chain.partition_point(|&(v, _)| v <= stable);
@@ -405,12 +412,16 @@ impl DbEngine {
             if chain.len() <= 1 {
                 chain.clear();
             }
-        }
+            !chain.is_empty()
+        });
     }
 
     /// Retained versions across all items (inspection/test helper).
     pub fn mvcc_retained(&self) -> usize {
-        self.history.iter().map(|c| c.len()).sum()
+        self.live
+            .iter()
+            .map(|item| self.history[item.index()].len())
+            .sum()
     }
 
     /// Entries the depth cap trimmed below the pruning floor.
@@ -432,6 +443,7 @@ impl DbEngine {
         let chain = &mut self.history[item.index()];
         if chain.is_empty() {
             chain.push((old.version, old));
+            self.live.push(item);
         }
         match chain.last_mut() {
             Some(last @ &mut (v, _)) if v == state.version => *last = (state.version, state),
@@ -463,8 +475,8 @@ impl DbEngine {
     /// `retain_version` call seeds each touched chain with the snapshot
     /// state it overwrites).
     fn reseed_versions(&mut self) {
-        for chain in &mut self.history {
-            chain.clear();
+        for item in self.live.drain(..) {
+            self.history[item.index()].clear();
         }
     }
 

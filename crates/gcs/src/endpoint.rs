@@ -1897,11 +1897,14 @@ where
 
     /// Highest sequence number with the whole prefix persisted locally.
     fn contiguous_persisted(&self) -> u64 {
-        let mut k = 0;
-        while self.persisted.contains(&(k + 1)) {
-            k += 1;
-        }
-        k
+        // One in-order walk of the prefix (the set is sorted and
+        // sequence numbers start at 1), not a lookup per step.
+        self.persisted
+            .range(1..)
+            .zip(1..)
+            .take_while(|&(&s, k)| s == k)
+            .last()
+            .map_or(0, |(_, k)| k)
     }
 
     fn on_catch_up_req(&mut self, ctx: &mut Ctx<'_>, from: NodeId, have_up_to: u64) {
@@ -1964,12 +1967,12 @@ where
         // requester was down is gone, and entries the responder has not
         // *delivered* yet (so `stable_up_to` does not cover them) would
         // otherwise never reach majority at the requester, stalling its
-        // delivery cursor forever.
+        // delivery cursor forever. Only the suffix above `stable_up_to`
+        // is walked, never the whole persisted history.
         let persisted: Vec<u64> = self
             .persisted
-            .iter()
+            .range(stable_up_to.saturating_add(1)..)
             .copied()
-            .filter(|&s| s > stable_up_to)
             .collect();
         if self.cfg.batch.enabled() {
             // Compress into contiguous runs: one aggregated vote per run
@@ -2095,21 +2098,45 @@ where
             }
             GcsModel::CrashRecovery => {
                 self.joined = true;
-                // Rebuild the ordering state from the stable log.
+                // Rebuild the ordering state from the stable log in one
+                // pass. After `on_crash` the maps are empty and each
+                // sorted `collect` builds its map in bulk; a recovery
+                // without a preceding crash merges into what survived,
+                // the log's entries winning exactly as per-entry inserts
+                // would (`append` takes the argument's value on a tie).
+                let n = self.stable.len();
+                let mut ordered = Vec::with_capacity(n);
+                let mut eras = Vec::with_capacity(n);
+                let mut ids = Vec::with_capacity(n);
+                let mut to_redeliver = Vec::new();
                 let mut delivered_prefix = 0;
+                // Highest sequence number such that the whole prefix is in
+                // the log (persist completions can have holes). The
+                // persisted set is a subset of the log's keys, so after
+                // the rebuild it equals them.
+                let mut contiguous = 0;
                 for (&seq, e) in &self.stable {
-                    self.ordered.insert(seq, (e.id, e.payload.clone()));
-                    self.entry_era.insert(seq, e.era);
-                    self.ordered_ids.insert(e.id, seq);
-                    self.persisted.insert(seq);
-                    self.max_seq_seen = self.max_seq_seen.max(seq);
+                    ordered.push((seq, (e.id, e.payload.clone())));
+                    eras.push((seq, e.era));
+                    ids.push((e.id, seq));
                     if e.delivered && seq == delivered_prefix + 1 {
                         delivered_prefix = seq;
                     }
+                    if seq == contiguous + 1 {
+                        contiguous = seq;
+                    }
+                    if e.delivered && !e.acked {
+                        to_redeliver.push(seq);
+                    }
                 }
-                // Highest sequence number such that the whole prefix is in
-                // the log (persist completions can have holes).
-                let contiguous = self.contiguous_persisted();
+                if let Some((&last, _)) = self.stable.last_key_value() {
+                    self.max_seq_seen = self.max_seq_seen.max(last);
+                }
+                self.ordered.append(&mut ordered.into_iter().collect());
+                self.entry_era.append(&mut eras.into_iter().collect());
+                self.ordered_ids.append(&mut ids.into_iter().collect());
+                self.persisted
+                    .append(&mut self.stable.keys().copied().collect());
                 if self.cfg.end_to_end {
                     // §4.2: replay, in order, every logged entry that was
                     // handed up before the crash but never acknowledged by
@@ -2117,12 +2144,6 @@ where
                     // uniform integrity: successful delivery at most once).
                     // Entries persisted but never delivered flow through the
                     // normal ordered path below.
-                    let to_redeliver: Vec<u64> = self
-                        .stable
-                        .iter()
-                        .filter(|(_, e)| e.delivered && !e.acked)
-                        .map(|(s, _)| *s)
-                        .collect();
                     for seq in to_redeliver {
                         self.deliver_one(ctx, seq, true, out);
                     }
