@@ -2104,11 +2104,13 @@ where
                 // without a preceding crash merges into what survived,
                 // the log's entries winning exactly as per-entry inserts
                 // would (`append` takes the argument's value on a tie).
+                let uniform = self.cfg.guarantee == DeliveryGuarantee::Uniform;
                 let n = self.stable.len();
                 let mut ordered = Vec::with_capacity(n);
                 let mut eras = Vec::with_capacity(n);
                 let mut ids = Vec::with_capacity(n);
                 let mut to_redeliver = Vec::new();
+                let mut to_vote = Vec::new();
                 let mut delivered_prefix = 0;
                 // Highest sequence number such that the whole prefix is in
                 // the log (persist completions can have holes). The
@@ -2127,6 +2129,9 @@ where
                     }
                     if e.delivered && !e.acked {
                         to_redeliver.push(seq);
+                    }
+                    if !(e.delivered && uniform) {
+                        to_vote.push(seq);
                     }
                 }
                 if let Some((&last, _)) = self.stable.last_key_value() {
@@ -2154,16 +2159,29 @@ where
                     // processed them. This is the paper's §3 gap.
                     self.next_deliver = delivered_prefix + 1;
                 }
-                // Help others' stability and catch up on what we missed.
-                let persisted: Vec<u64> = self.persisted.iter().copied().collect();
+                // Help others' stability, but only for entries not yet
+                // delivered. Under the uniform guarantee an entry is
+                // delivered only once stable: a majority persisted it, and
+                // persistence survives crashes, so a vote for it tells
+                // nobody anything new. A peer stuck on such an entry is
+                // unstuck by gap repair: its `CatchUpReq` reaches this
+                // node, whose `CatchUp.stable_up_to` covers everything it
+                // delivered, and whose vote resend covers the rest. The
+                // same fact makes the delivered prefix this node's own
+                // stable floor, so its watermark does not wait on votes
+                // nobody will send again. Re-voting the whole log cost one
+                // multicast per entry ever persisted, on every recovery.
+                if uniform {
+                    self.stable_floor = self.stable_floor.max(delivered_prefix);
+                }
                 if self.cfg.batch.enabled() {
                     // Aggregated votes, as on the fast path: one range
                     // message per contiguous run of the stable log.
-                    for (lo, hi) in Self::contiguous_runs(&persisted) {
+                    for (lo, hi) in Self::contiguous_runs(&to_vote) {
                         self.send_ack_range(ctx, lo, hi);
                     }
                 } else {
-                    for seq in persisted {
+                    for seq in to_vote {
                         self.send_ack(ctx, seq);
                     }
                 }
