@@ -9,7 +9,7 @@ use groupsafe::sim::{SimDuration, SimTime};
 
 #[test]
 fn switching_changes_the_reply_point_live() {
-    let report = System::builder()
+    let mut run = System::builder()
         .servers(5)
         .clients_per_server(3)
         .safety(SafetyLevel::GroupSafe)
@@ -22,29 +22,51 @@ fn switching_changes_the_reply_point_live() {
         // Phase 1: group-safe for 12 s. Then switch every server to
         // group-1-safe for 12 s, then back for the rest.
         .switch_safety_at(SimTime::from_secs(12), SafetyLevel::GroupOneSafe)
-        .switch_safety_at(SimTime::from_secs(24), SafetyLevel::GroupSafe)
-        .execute();
+        .switch_safety_at(SimTime::from_secs(24), SafetyLevel::GroupSafe);
+    // `Run::execute` step by step (no warm-up), so the oracle can be read
+    // before `finish` consumes the run.
+    let end = run.measure_end();
+    run.run_until(SimTime::ZERO);
+    run.mark_phase("measure");
+    run.run_until(end);
+    run.mark_phase("drain");
+    run.stop_clients_at(end);
+    run.run_until(end + SimDuration::from_secs(2));
 
-    // The per-phase breakdown names each hook's phase after its label.
-    assert_eq!(report.phases.len(), 4, "measure + 2 switches + drain");
-    let gs1 = &report.phases[0];
-    let g1s = &report.phases[1];
-    let gs2 = &report.phases[2];
-    assert!(gs1.commits > 50 && g1s.commits > 50 && gs2.commits > 50);
+    // The switch moves the reply point of update transactions only:
+    // read-only ones never broadcast, so a read mix (e.g. the session-read
+    // env profile) must not dilute the comparison.
+    let update_mean_ms = |from: u64, to: SimTime| {
+        let oracle = run.system().oracle.borrow();
+        let samples: Vec<f64> = oracle
+            .acked
+            .iter()
+            .filter(|(txn, a)| {
+                oracle.commits.contains_key(txn) && a.at >= SimTime::from_secs(from) && a.at < to
+            })
+            .map(|(_, a)| a.response_ms)
+            .collect();
+        assert!(samples.len() > 50, "{} update commits", samples.len());
+        samples.iter().sum::<f64>() / samples.len() as f64
+    };
+    let gs1 = update_mean_ms(0, SimTime::from_secs(12));
+    let g1s = update_mean_ms(12, SimTime::from_secs(24));
+    let gs2 = update_mean_ms(24, end);
     // The group-1-safe phase must be noticeably slower (its reply point
     // includes a synchronous log force and page install).
     assert!(
-        g1s.mean_ms > gs1.mean_ms * 1.3,
-        "group-1-safe phase must slow responses: {:.1} -> {:.1} ms",
-        gs1.mean_ms,
-        g1s.mean_ms
+        g1s > gs1 * 1.3,
+        "group-1-safe phase must slow responses: {gs1:.1} -> {g1s:.1} ms"
     );
     assert!(
-        gs2.mean_ms < g1s.mean_ms,
-        "switching back must speed responses up again: {:.1} -> {:.1} ms",
-        g1s.mean_ms,
-        gs2.mean_ms
+        gs2 < g1s,
+        "switching back must speed responses up again: {g1s:.1} -> {gs2:.1} ms"
     );
+
+    let report = run.finish();
+    // The per-phase breakdown names each hook's phase after its label.
+    assert_eq!(report.phases.len(), 4, "measure + 2 switches + drain");
+    assert!(report.phases[..3].iter().all(|p| p.commits > 50));
 
     // Safety held throughout: nothing lost, replicas agree.
     assert_eq!(report.lost, 0);

@@ -2,7 +2,10 @@
 //! transaction is logged on *all* servers — so it survives anything, but
 //! "a single crash renders the system unavailable".
 
+use std::collections::BTreeSet;
+
 use groupsafe::core::{FaultPlan, Load, Run, SafetyLevel, System, Technique};
+use groupsafe::db::TxnId;
 use groupsafe::net::NodeId;
 use groupsafe::sim::{SimDuration, SimTime};
 use groupsafe::workload::{run_crash_scenario, CrashScenario, RecoveryPlan};
@@ -22,6 +25,22 @@ fn build(seed: u64, faults: FaultPlan) -> Run {
         .expect("a valid configuration")
 }
 
+/// The replica groups an update transaction touched (read or wrote).
+/// On a sharded system a transaction is logged by the replicas of these
+/// groups only; on an unsharded one this is always group 0.
+fn groups_touched(system: &System, txn: &TxnId) -> BTreeSet<u32> {
+    let oracle = system.oracle.borrow();
+    let Some(rec) = oracle.commits.get(txn) else {
+        return BTreeSet::new(); // read-only
+    };
+    rec.readset
+        .iter()
+        .map(|&(item, _)| item)
+        .chain(rec.writes.iter().map(|w| w.item))
+        .map(|item| system.shard.group_of(item))
+        .collect()
+}
+
 #[test]
 fn very_safe_commits_when_everyone_is_up() {
     let mut run = build(61, FaultPlan::none());
@@ -37,16 +56,15 @@ fn very_safe_commits_when_everyone_is_up() {
     );
     assert!(system.lost_transactions().is_empty());
     assert_eq!(system.convergence().len(), 1);
-    // Every acknowledged update transaction is durable on EVERY replica —
-    // the defining property.
-    let oracle = system.oracle.borrow();
-    for (txn, _) in oracle.acked.iter() {
-        if !oracle.commits.contains_key(txn) {
-            continue; // read-only
-        }
-        for i in 0..system.n_servers {
-            let db = system.server(i).db();
-            assert!(db.is_committed(*txn), "acked {txn} missing on replica {i}");
+    // Every acknowledged update transaction is durable on EVERY replica
+    // of every group it touched — the defining property.
+    let acked: Vec<TxnId> = system.oracle.borrow().acked.keys().copied().collect();
+    for txn in &acked {
+        for g in groups_touched(system, txn) {
+            for i in system.group_server_indices(g) {
+                let db = system.server(i).db();
+                assert!(db.is_committed(*txn), "acked {txn} missing on replica {i}");
+            }
         }
     }
 }
@@ -61,17 +79,24 @@ fn very_safe_blocks_while_any_server_is_down() {
     let mut run = build(63, FaultPlan::crash(NodeId(2), crash_at));
     run.run_until(SimTime::from_secs(9));
     let system = run.system();
+    let down_group = system.group_of_server(2);
     let oracle = system.oracle.borrow();
     let pre = oracle.acked.values().filter(|a| a.at <= crash_at).count();
     let grace = crash_at + SimDuration::from_millis(500);
-    // Read-only transactions never broadcast and keep answering; the
-    // blocking property is about update transactions.
-    let post_grace = oracle
+    // Read-only transactions never broadcast and keep answering, and on
+    // a sharded system the other groups keep committing: the blocking
+    // property is about updates that need the crashed server's group.
+    let post_grace: Vec<TxnId> = oracle
         .acked
         .iter()
-        .filter(|(txn, a)| a.at > grace && oracle.commits.contains_key(txn))
-        .count();
+        .filter(|(_, a)| a.at > grace)
+        .map(|(txn, _)| *txn)
+        .collect();
     drop(oracle);
+    let post_grace = post_grace
+        .iter()
+        .filter(|txn| groups_touched(system, txn).contains(&down_group))
+        .count();
     assert!(pre > 5, "pre-crash commits must have completed ({pre})");
     assert_eq!(
         post_grace, 0,
