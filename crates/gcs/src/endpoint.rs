@@ -1897,8 +1897,8 @@ where
 
     /// Highest sequence number with the whole prefix persisted locally.
     fn contiguous_persisted(&self) -> u64 {
-        // One in-order walk of the prefix (the set is sorted and
-        // sequence numbers start at 1), not a lookup per step.
+        // The set is sorted and sequence numbers start at 1: walk the
+        // prefix while it counts 1, 2, 3, ...
         self.persisted
             .range(1..)
             .zip(1..)
@@ -1967,8 +1967,7 @@ where
         // requester was down is gone, and entries the responder has not
         // *delivered* yet (so `stable_up_to` does not cover them) would
         // otherwise never reach majority at the requester, stalling its
-        // delivery cursor forever. Only the suffix above `stable_up_to`
-        // is walked, never the whole persisted history.
+        // delivery cursor forever.
         let persisted: Vec<u64> = self
             .persisted
             .range(stable_up_to.saturating_add(1)..)
@@ -2169,8 +2168,7 @@ where
                 // delivered, and whose vote resend covers the rest. The
                 // same fact makes the delivered prefix this node's own
                 // stable floor, so its watermark does not wait on votes
-                // nobody will send again. Re-voting the whole log cost one
-                // multicast per entry ever persisted, on every recovery.
+                // nobody will send again.
                 if uniform {
                     self.stable_floor = self.stable_floor.max(delivered_prefix);
                 }
